@@ -5,11 +5,13 @@
 //! The interesting comparisons: `dot` (SIMD wins while data fits in
 //! cache, converges to the memory wall at 1M), `dot_pairs` (the fused
 //! multi-dot reads shared vectors once, so it beats separate dots even
-//! when bandwidth-bound), and SELL vs CSR SpMV (gather-vectorisable
-//! layout on ragged rows).
+//! when bandwidth-bound), SELL vs CSR SpMV (gather-vectorisable layout on
+//! ragged rows), and the block-Jacobi banded LU's factor and apply.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use resilient_linalg::{poisson2d, scalar_ops, simd_ops, LocalOps, SellMatrix};
+use resilient_linalg::{
+    poisson2d, scalar_ops, simd_ops, CooMatrix, LocalOps, LuFactors, SellMatrix,
+};
 use std::time::Duration;
 
 const SIZES: [usize; 3] = [1_000, 100_000, 1_000_000];
@@ -152,5 +154,46 @@ fn bench_spmv_layouts(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_level1, bench_spmv_layouts);
+fn bench_block_jacobi(c: &mut Criterion) {
+    // Rank 0's diagonal block of a 48x48 Poisson grid split over two
+    // ranks: rows and columns 0..1152, bandwidth 48.
+    let (global, n) = (poisson2d(48, 48), 1152);
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..n {
+        let (cols, vals) = global.row(i);
+        for (&j, &v) in cols.iter().zip(vals) {
+            if j < n {
+                coo.push(i, j, v);
+            }
+        }
+    }
+    let block = coo.to_csr();
+    let mut group = c.benchmark_group("local_ops/block_jacobi");
+    group
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_millis(800))
+        .sample_size(10);
+    group.bench_with_input(BenchmarkId::new("factor", n), &n, |b, _| {
+        b.iter(|| std::hint::black_box(LuFactors::factor(&block).dim()))
+    });
+    let lu = LuFactors::factor(&block);
+    let r: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
+    let mut z = vec![0.0; n];
+    for (name, ops) in backends() {
+        group.bench_with_input(BenchmarkId::new(&format!("apply/{name}"), n), &n, |b, _| {
+            b.iter(|| {
+                lu.solve_with(ops, &r, &mut z);
+                std::hint::black_box(z[n / 2])
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_level1,
+    bench_spmv_layouts,
+    bench_block_jacobi
+);
 criterion_main!(benches);

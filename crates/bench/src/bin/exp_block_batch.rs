@@ -19,9 +19,9 @@
 //! Output: a table plus one `JSON:` line per cell (hand-rolled — the
 //! workspace carries no JSON dependency). Pass `--json` to emit a single
 //! machine-readable JSON array instead (the format checked in as
-//! `BENCH_block_batch.json`), `--smoke` for a CI-sized grid. The headline
-//! asserts run in every mode: virtual time is deterministic, so they are
-//! safe on loaded CI machines.
+//! `BENCH_block_batch.json`, every entry labelled `"clock": "virtual"`),
+//! `--smoke` for a CI-sized grid. The headline asserts run in every mode:
+//! virtual time is deterministic, so they are safe on loaded CI machines.
 
 use resilience::prelude::*;
 use resilient_bench::{fmt_g, fmt_ratio, Table};
@@ -173,7 +173,7 @@ fn main() {
                 let per_iter = allreduces_per_iter(pipelined, coll_ranks, k);
                 table_coll.row(vec![mode.into(), k.to_string(), per_iter.to_string()]);
                 records.push(format!(
-                    "{{\"experiment\":\"block_batch\",\"metric\":\"allreduces_per_iter\",\"mode\":\"{mode}\",\"ranks\":{coll_ranks},\"k\":{k},\"value\":{per_iter}}}"
+                    "{{\"experiment\":\"block_batch\",\"clock\":\"virtual\",\"metric\":\"allreduces_per_iter\",\"mode\":\"{mode}\",\"ranks\":{coll_ranks},\"k\":{k},\"value\":{per_iter}}}"
                 ));
                 per_iter
             })
@@ -217,7 +217,7 @@ fn main() {
                     fmt_ratio(speedup),
                 ]);
                 records.push(format!(
-                    "{{\"experiment\":\"block_batch\",\"metric\":\"throughput\",\"mode\":\"{mode}\",\"ranks\":{ranks},\"k\":{k},\"iters\":{iters},\"seq_cold_s\":{seq_cold:.6e},\"block_cold_s\":{block_cold:.6e},\"block_warm_s\":{block_warm:.6e},\"warm_speedup\":{speedup:.3}}}"
+                    "{{\"experiment\":\"block_batch\",\"clock\":\"virtual\",\"metric\":\"throughput\",\"mode\":\"{mode}\",\"ranks\":{ranks},\"k\":{k},\"iters\":{iters},\"seq_cold_s\":{seq_cold:.6e},\"block_cold_s\":{block_cold:.6e},\"block_warm_s\":{block_warm:.6e},\"warm_speedup\":{speedup:.3}}}"
                 ));
                 // Batch-width-1 sanity: the block path must not be slower
                 // than its own single-RHS twin by more than bookkeeping.

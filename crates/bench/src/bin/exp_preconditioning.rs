@@ -11,13 +11,14 @@
 //! iterations-to-tolerance by one to three orders of magnitude on a
 //! problem where unpreconditioned CG needs hundreds of iterations and
 //! unpreconditioned GMRES thousands, at every rank count. The virtual
-//! wall-clock column includes the honest local-work bill — `2·n_local²`
-//! FLOPs per apply plus the one-time `2·n_local³⁄3` factorization charged
-//! at first apply — so it also shows where the trade *loses*: on a single
-//! rank, factoring the whole matrix for one solve is a direct solve in
-//! disguise and CG-family time gets worse, while from 2 ranks up the
-//! shrinking blocks and collapsed iteration counts pay for themselves
-//! many times over under a realistic latency model.
+//! wall-clock column includes the honest local-work bill — the banded
+//! LU's `O(n_local·(kl+ku))` FLOPs per apply plus its one-time
+//! `O(n_local·kl·(kl+ku))` factorization charged at first apply (`kl`,
+//! `ku`: the block's bandwidths). On a single rank the block is the whole
+//! matrix, so the preconditioned solve is a banded direct solve in
+//! disguise; from 2 ranks up the shrinking blocks and collapsed iteration
+//! counts pay for themselves many times over under a realistic latency
+//! model.
 //!
 //! Pass `--smoke` for a CI-sized run.
 

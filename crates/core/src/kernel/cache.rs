@@ -2,8 +2,8 @@
 //!
 //! The "millions of users" workload solves many right-hand sides against a
 //! small set of operators, so the dominant repeated cost after the SpMVs is
-//! [`BlockJacobi`] setup: a dense `2n³⁄3` LU factorization per rank per
-//! solve. [`SetupCache`] memoizes those local factors keyed by the
+//! [`BlockJacobi`] setup: a banded LU factorization per rank per solve.
+//! [`SetupCache`] memoizes those local factors keyed by the
 //! operator's per-rank [`DistCsr::fingerprint`] — a checksum over structure
 //! *and* values, so any drift in the matrix (new nonzeros, updated
 //! coefficients, a different row partition after shrink recovery) misses
@@ -19,9 +19,11 @@
 //!
 //! The cache is purely rank-local state — it holds no communicator and
 //! performs no collectives — so each rank of a distributed solve owns its
-//! own instance, exactly like the [`BlockJacobi`] instances it feeds.
+//! own instance, exactly like the [`BlockJacobi`] instances it feeds. A hit
+//! shares the stored factors (an [`Arc`]) instead of copying them.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use resilient_linalg::LuFactors;
 
@@ -31,7 +33,7 @@ use crate::distributed::DistCsr;
 /// One memoized factorization with the tick it was stored (or refreshed) at.
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    lu: LuFactors,
+    lu: Arc<LuFactors>,
     stamp: u64,
 }
 
@@ -87,7 +89,7 @@ impl SetupCache {
         if let Some(entry) = self.entries.get(&key) {
             if self.clock.saturating_sub(entry.stamp) < self.ttl {
                 self.hits += 1;
-                return BlockJacobi::from_factors(entry.lu.clone());
+                return BlockJacobi::from_factors(Arc::clone(&entry.lu));
             }
             // Expired: drop the stale factors and fall through to refactor.
             self.entries.remove(&key);
@@ -98,7 +100,7 @@ impl SetupCache {
         self.entries.insert(
             key,
             CacheEntry {
-                lu: bj.factors().clone(),
+                lu: Arc::clone(bj.factors()),
                 stamp: self.clock,
             },
         );
@@ -173,6 +175,27 @@ mod tests {
             assert!(cold_setup > 0, "cold lookup must owe full setup");
             assert_eq!(warm_setup, 0, "warm lookup must owe nothing");
             assert_eq!((hits, misses), (1, 1));
+        }
+    }
+
+    #[test]
+    fn hits_share_one_factor_allocation() {
+        let rt = Runtime::new(RuntimeConfig::fast());
+        let result = rt.run(2, move |comm| {
+            let da = DistCsr::from_global(comm, &poisson2d(6, 6))?;
+            let mut cache = SetupCache::new();
+            let cold = cache.block_jacobi(&da);
+            let (a, b) = (cache.block_jacobi(&da), cache.block_jacobi(&da));
+            Ok((
+                Arc::ptr_eq(a.factors(), b.factors()),
+                Arc::ptr_eq(a.factors(), cold.factors()),
+                (a.pending_setup_flops(), b.pending_setup_flops()),
+            ))
+        });
+        for (hits_shared, cold_shared, setup) in result.unwrap_all() {
+            assert!(hits_shared, "two hits must see the same allocation");
+            assert!(cold_shared, "a hit shares the factors the miss stored");
+            assert_eq!(setup, (0, 0), "each hit charges zero setup FLOPs");
         }
     }
 

@@ -17,11 +17,12 @@
 //! * [`SerialPrecond`] — adapts any legacy [`Preconditioner`] to the
 //!   serial space, through the allocation-free `apply_into` path.
 //! * [`BlockJacobi`] — the distributed workhorse: each rank factors its
-//!   own diagonal block of the [`DistCsr`] once (dense LU with partial
-//!   pivoting) and back-substitutes per apply. Both setup and apply are
-//!   purely local — block-Jacobi adds **zero** collectives per iteration,
-//!   which is exactly why it is the preconditioner of choice for the
-//!   latency-sensitive RBSP solvers.
+//!   own diagonal block of the [`DistCsr`] once (banded LU with partial
+//!   pivoting, `O(n·kl·(kl+ku))` for bandwidths `kl`, `ku`) and
+//!   substitutes per apply (`O(n·(kl+ku))`), bit-identical to a dense LU.
+//!   Both setup and apply are purely local — block-Jacobi adds **zero**
+//!   collectives per iteration, which is exactly why it is the
+//!   preconditioner of choice for the latency-sensitive RBSP solvers.
 //! * [`RightPrecond`] — exposes any `SpacePreconditioner` through the
 //!   GMRES kernel's flexible right-preconditioning slot
 //!   ([`FlexibleRight`]), which is how `CgsOrtho`/`PipelinedOrtho` presets
@@ -58,6 +59,8 @@
 //!
 //! Distributed solves swap in [`BlockJacobi`] the same way — see the
 //! `rbsp::dist_pcg` preset and `crates/core/tests/preconditioning.rs`.
+
+use std::sync::Arc;
 
 use resilient_linalg::LuFactors;
 use resilient_runtime::Result;
@@ -155,20 +158,26 @@ where
 /// Block-Jacobi over a [`DistCsr`]: `M = diag(A₀₀, A₁₁, …)` where `Aᵢᵢ` is
 /// rank *i*'s diagonal block. Each rank LU-factors its own block once at
 /// construction ([`DistCsr::local_diagonal_block`], purely local) and
-/// back-substitutes per apply — **no collectives and no neighbor exchange**,
+/// substitutes per apply — **no collectives and no neighbor exchange**,
 /// so preconditioning adds zero synchronization per iteration while the
 /// strong couplings inside each block (and, on one rank, the whole matrix)
 /// are solved exactly.
 ///
-/// Each apply charges `2·n_local²` FLOPs through the space, and the
-/// one-time factorization cost (`2·n_local³⁄3` FLOPs) is charged through
-/// the space at the *first* apply — so a solve's virtual time honestly
+/// The factorization is a banded LU with partial pivoting
+/// ([`LuFactors`]): with the block's bandwidths `kl`, `ku`, setup costs
+/// `O(n_local·kl·(kl+ku))` FLOPs and each apply `O(n_local·(kl+ku))` —
+/// against a dense LU's `2·n_local³⁄3` and `2·n_local²` — and its output
+/// is bit-identical to the dense LU's. Each apply charges the band's real
+/// multiply–adds through the space, and the factorization's counted FLOPs
+/// are charged at the *first* apply — so a solve's virtual time honestly
 /// includes setup, while re-solves with the same instance (multiple
 /// right-hand sides, time stepping) amortize it: the trade the paper's
 /// §II-B describes, local work bought for global synchronization.
 #[derive(Debug, Clone)]
 pub struct BlockJacobi {
-    lu: LuFactors,
+    /// Shared with the [`SetupCache`](crate::kernel::SetupCache) entry it
+    /// came from, if any.
+    lu: Arc<LuFactors>,
     /// Factorization FLOPs still to be charged (consumed at first apply).
     setup_flops: usize,
 }
@@ -179,11 +188,10 @@ impl BlockJacobi {
     /// distributed matrix, or the preconditioner is not a well-defined
     /// global operator.
     pub fn new(a: &DistCsr) -> Self {
-        let n = a.local_rows();
+        let lu = LuFactors::factor(&a.local_diagonal_block());
         Self {
-            lu: LuFactors::factor(&a.local_diagonal_block().to_dense()),
-            // Dense partial-pivot LU: 2n³/3 FLOPs.
-            setup_flops: 2 * n * n * n / 3,
+            setup_flops: lu.factor_flops(),
+            lu: Arc::new(lu),
         }
     }
 
@@ -192,13 +200,13 @@ impl BlockJacobi {
     /// factors were paid for by the solve that produced them.
     ///
     /// [`SetupCache`]: crate::kernel::SetupCache
-    pub fn from_factors(lu: LuFactors) -> Self {
+    pub fn from_factors(lu: Arc<LuFactors>) -> Self {
         Self { lu, setup_flops: 0 }
     }
 
     /// The local LU factors (what a [`SetupCache`](crate::kernel::SetupCache)
-    /// memoizes).
-    pub fn factors(&self) -> &LuFactors {
+    /// memoizes and shares).
+    pub fn factors(&self) -> &Arc<LuFactors> {
         &self.lu
     }
 
@@ -226,7 +234,7 @@ impl<'a, 'b, C: resilient_runtime::CommBackend> SpacePreconditioner<DistSpace<'a
         r: &DistVector,
         z: &mut DistVector,
     ) -> Result<()> {
-        // Hard check even in release: `solve_into` accepts longer vectors,
+        // Hard check even in release: `solve_with` accepts longer vectors,
         // so a preconditioner factored for a different distribution (wrong
         // matrix, rebuilt communicator) would otherwise silently solve a
         // prefix and zero the tail.
@@ -240,9 +248,8 @@ impl<'a, 'b, C: resilient_runtime::CommBackend> SpacePreconditioner<DistSpace<'a
             self.lu.dim(),
             "block-Jacobi output buffer built for a different distribution"
         );
-        // Through the space's device-op backend (bit-identical to
-        // `solve_into`; pinned by the linalg parity proptests), so the
-        // whole preconditioned hot path runs on one backend choice.
+        // Through the space's device-op backend, so the whole
+        // preconditioned hot path runs on one backend choice.
         self.lu.solve_with(space.ops(), &r.local, &mut z.local);
         space.charge_flops(self.lu.flops_per_solve() + std::mem::take(&mut self.setup_flops));
         // Campaign strike point: the freshly computed output is the

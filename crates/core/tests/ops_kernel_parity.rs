@@ -130,7 +130,7 @@ fn sell_layout_is_bitwise_invisible() {
 
 /// The serial kernels, driven explicitly with each backend through
 /// `SerialSpace::with_ops`, agree bitwise on iterations, history and
-/// solution — PCG (BlockJacobi-free serial path uses the dense LU via the
+/// solution — PCG (BlockJacobi-free serial path uses the banded LU via the
 /// dist presets above, so serial uses the fused and pipelined CG steps).
 #[test]
 fn serial_kernel_backends_agree_bitwise() {

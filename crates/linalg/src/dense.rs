@@ -1,10 +1,12 @@
 //! Dense matrices (column-major) with the level-2/3 kernels the resilient
-//! algorithms need: GEMV, GEMM, small QR-style helpers.
+//! algorithms need: GEMV, GEMM, small QR-style helpers — and the banded LU
+//! the block-Jacobi preconditioner factors its local sparse block with.
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::ops::LocalOps;
+use crate::sparse::CsrMatrix;
 
 /// A dense column-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,91 +216,167 @@ impl DenseMatrix {
     }
 }
 
-/// A dense LU factorization with partial pivoting, `P·A = L·U`, stored
-/// packed (unit-diagonal `L` below, `U` on and above the diagonal).
+/// A banded LU factorization with partial pivoting, `P·A = L·U`, of a
+/// square sparse block, factored straight from CSR.
 ///
-/// Built once, then applied repeatedly through the allocation-free
-/// [`LuFactors::solve_into`] — the shape a block-Jacobi preconditioner
-/// needs: factor the local diagonal block at setup, back-substitute every
-/// iteration.
+/// The block's lower and upper bandwidths `kl`, `ku` bound the work:
+/// pivoting can widen `U` to `kl + ku` superdiagonals, never more, so the
+/// factorization costs `O(n·kl·(kl+ku))` and one solve `O(n·(kl+ku))`.
+/// The loops are the dense partial-pivot LU's — the same pivot choice,
+/// the same `m != 0` skip, the same right-looking update order — restricted
+/// to the entries that can be nonzero. Every update that changes a value
+/// happens in the same order, so on finite inputs the solution is
+/// `to_bits`-identical to the dense LU's (an exactly-zero entry may differ
+/// in the sign of zero; pinned by the `ops_parity` proptests against a
+/// dense reference).
+///
+/// Storage is at most the dense `n²` plus `O(n)` for any bandwidth: the
+/// multipliers of step `k` are kept **unpermuted** and contiguous (later
+/// row swaps do not touch them), and `U` is kept by rows, diagonal first,
+/// each trimmed to its last nonzero.
 #[derive(Debug, Clone)]
 pub struct LuFactors {
-    lu: DenseMatrix,
+    n: usize,
+    /// Lower bandwidth: step `k` has multipliers for rows `k+1..=k+kl`.
+    kl: usize,
     /// Row swapped with row `k` at elimination step `k`.
     pivots: Vec<usize>,
-    n: usize,
-    /// `U` packed row-major (row `i` = `u_rows[u_off[i]..u_off[i+1]]`,
-    /// diagonal first): back substitution walks rows, and walking rows of
-    /// the column-major `lu` strides by `n` per element — this copy makes
-    /// the hot preconditioner path read contiguously.
-    u_rows: Vec<f64>,
+    /// Step `k`'s `min(kl, n-1-k)` multipliers, steps in order.
+    l: Vec<f64>,
+    /// `U` by rows: row `i` is `u[u_off[i]..u_off[i+1]]`, diagonal first.
+    u: Vec<f64>,
     u_off: Vec<usize>,
+    /// Floating-point operations the factorization performed.
+    factor_flops: usize,
 }
 
 impl LuFactors {
-    /// Factor a square matrix. A pivot column whose remaining entries are
-    /// all exactly zero is replaced by a unit pivot (the corresponding
-    /// solution component passes through unscaled), so the factorization is
-    /// always defined — the same always-defined convention the Jacobi
-    /// preconditioner uses for zero diagonal entries.
+    /// Factor a square sparse matrix. A pivot column whose remaining
+    /// entries are all exactly zero is replaced by a unit pivot (the
+    /// corresponding solution component passes through unscaled), so the
+    /// factorization is always defined — the same always-defined convention
+    /// the Jacobi preconditioner uses for zero diagonal entries.
     ///
     /// # Panics
     /// Panics if `a` is not square.
-    pub fn factor(a: &DenseMatrix) -> Self {
+    pub fn factor(a: &CsrMatrix) -> Self {
         assert_eq!(a.nrows(), a.ncols(), "LU requires a square matrix");
         let n = a.nrows();
-        let mut lu = a.clone();
+        let (mut kl, mut ku) = (0, 0);
+        for i in 0..n {
+            for &j in a.row(i).0 {
+                kl = kl.max(i.saturating_sub(j));
+                ku = ku.max(j.saturating_sub(i));
+            }
+        }
+        // Row windows: the active rows of step k span columns k..k+w.
+        let w = kl + ku + 1;
+        let mut l_off = Vec::with_capacity(n + 1);
+        let mut u_off = Vec::with_capacity(n + 1);
+        l_off.push(0);
+        u_off.push(0);
+        for i in 0..n {
+            l_off.push(l_off[i] + kl.min(n - 1 - i));
+            u_off.push(u_off[i] + w.min(n - i));
+        }
+        // Entry (i, j) lives in L's column j below the diagonal, in U's row
+        // i on and above it.
+        let lu_at = |i: usize, j: usize| -> (bool, usize) {
+            if j < i {
+                (true, l_off[j] + i - j - 1)
+            } else {
+                (false, u_off[i] + j - i)
+            }
+        };
+        let mut l = vec![0.0; l_off[n]];
+        let mut u = vec![0.0; u_off[n]];
+        for i in 0..n {
+            let (cols, vals) = a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                match lu_at(i, j) {
+                    (true, p) => l[p] += v,
+                    (false, p) => u[p] += v,
+                }
+            }
+        }
+
         let mut pivots = vec![0usize; n];
-        for (k, pivot_slot) in pivots.iter_mut().enumerate() {
-            // Partial pivoting: largest |entry| in column k, rows k..n.
+        let mut u_len = vec![0usize; n];
+        let mut factor_flops = 0;
+        for k in 0..n {
+            let col = l_off[k]..l_off[k + 1];
+            let hi = (k + w).min(n);
+            // Partial pivoting: largest |entry| in column k, rows k..=k+kl.
             let mut piv = k;
-            let mut best = lu.get(k, k).abs();
-            for i in k + 1..n {
-                let v = lu.get(i, k).abs();
-                if v > best {
-                    best = v;
-                    piv = i;
+            let mut best = u[u_off[k]].abs();
+            for (r, v) in l[col.clone()].iter().enumerate() {
+                if v.abs() > best {
+                    best = v.abs();
+                    piv = k + 1 + r;
                 }
             }
-            *pivot_slot = piv;
+            pivots[k] = piv;
             if piv != k {
-                for j in 0..n {
-                    let tmp = lu.get(k, j);
-                    lu.set(k, j, lu.get(piv, j));
-                    lu.set(piv, j, tmp);
+                // Swap from column k on: earlier multipliers stay put.
+                for j in k..hi {
+                    let a = u_off[k] + j - k;
+                    match lu_at(piv, j) {
+                        (true, b) => std::mem::swap(&mut u[a], &mut l[b]),
+                        (false, b) => u.swap(a, b),
+                    }
                 }
             }
-            let mut pivot = lu.get(k, k);
+            let mut pivot = u[u_off[k]];
             if pivot == 0.0 {
                 // Structurally singular column: unit pivot, zero multipliers.
                 pivot = 1.0;
-                lu.set(k, k, pivot);
+                u[u_off[k]] = pivot;
             }
-            for i in k + 1..n {
-                let m = lu.get(i, k) / pivot;
-                lu.set(i, k, m);
+            // Row k of U is final: trim it to its last nonzero.
+            let row_k = u_off[k]..u_off[k] + (hi - k);
+            let len = u[row_k]
+                .iter()
+                .rposition(|&v| v != 0.0)
+                .map_or(1, |p| p + 1);
+            u_len[k] = len;
+            factor_flops += col.len();
+            for (r, i) in (k + 1..k + 1 + col.len()).enumerate() {
+                let m = l[col.start + r] / pivot;
+                l[col.start + r] = m;
                 if m != 0.0 {
-                    for j in k + 1..n {
-                        lu.add_to(i, j, -m * lu.get(k, j));
+                    factor_flops += 2 * (len - 1);
+                    // Columns k+1..i of row i sit in L, i.. in U.
+                    for j in k + 1..(k + len).min(i) {
+                        l[l_off[j] + i - j - 1] += -m * u[u_off[k] + j - k];
+                    }
+                    if k + len > i {
+                        let (head, tail) = u.split_at_mut(u_off[i]);
+                        let src = &head[u_off[k] + i - k..u_off[k] + len];
+                        for (dst, &ukj) in tail.iter_mut().zip(src) {
+                            *dst += -m * ukj;
+                        }
                     }
                 }
             }
         }
-        let mut u_off = Vec::with_capacity(n + 1);
-        let mut u_rows = Vec::with_capacity(n * (n + 1) / 2);
-        u_off.push(0);
-        for i in 0..n {
-            for j in i..n {
-                u_rows.push(lu.get(i, j));
-            }
-            u_off.push(u_rows.len());
+        // Compact U to the trimmed rows.
+        let mut end = 0;
+        for (i, &len) in u_len.iter().enumerate() {
+            u.copy_within(u_off[i]..u_off[i] + len, end);
+            u_off[i] = end;
+            end += len;
         }
+        u_off[n] = end;
+        u.truncate(end);
+        u.shrink_to_fit();
         Self {
-            lu,
-            pivots,
             n,
-            u_rows,
+            kl,
+            pivots,
+            l,
+            u,
             u_off,
+            factor_flops,
         }
     }
 
@@ -307,84 +385,48 @@ impl LuFactors {
         self.n
     }
 
-    /// FLOPs of one [`LuFactors::solve_into`] (two triangular solves,
-    /// `n²` multiply–adds).
+    /// FLOPs the factorization performed (multipliers and updates).
+    pub fn factor_flops(&self) -> usize {
+        self.factor_flops
+    }
+
+    /// FLOPs of one [`LuFactors::solve_with`]: a multiply–add per stored
+    /// multiplier and off-diagonal `U` entry, a division per row — `2n²`
+    /// for a full-width block, `O(n·(kl+ku))` for a banded one.
     pub fn flops_per_solve(&self) -> usize {
-        2 * self.n * self.n
+        2 * (self.l.len() + self.u.len())
     }
 
-    /// Solve `A·x = b` in place of `x` (allocation-free): apply the row
-    /// permutation, forward-substitute `L`, back-substitute `U`.
+    /// Solve `A·x = b` into the first `n` entries of `x` through a
+    /// [`LocalOps`] backend, allocation-free — the form the block-Jacobi
+    /// preconditioner applies every iteration.
     ///
-    /// # Panics
-    /// Panics if `b` or `x` is shorter than the factored dimension.
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
-        let n = self.n;
-        assert!(b.len() >= n && x.len() >= n, "LU solve: length mismatch");
-        x[..n].copy_from_slice(&b[..n]);
-        for (k, &piv) in self.pivots.iter().enumerate() {
-            if piv != k {
-                x.swap(k, piv);
-            }
-        }
-        for i in 1..n {
-            let mut s = x[i];
-            for (j, &xj) in x[..i].iter().enumerate() {
-                s -= self.lu.get(i, j) * xj;
-            }
-            x[i] = s;
-        }
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for (j, &xj) in x[i + 1..n].iter().enumerate() {
-                s -= self.lu.get(i, i + 1 + j) * xj;
-            }
-            x[i] = s / self.lu.get(i, i);
-        }
-    }
-
-    /// Allocating convenience wrapper around [`LuFactors::solve_into`].
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let mut x = vec![0.0; self.n];
-        self.solve_into(b, &mut x);
-        x
-    }
-
-    /// [`LuFactors::solve_into`] routed through a [`LocalOps`] backend —
-    /// the form the block-Jacobi preconditioner applies every iteration.
-    ///
-    /// Bit-identical to [`LuFactors::solve_into`] (pinned by the parity
-    /// proptests): the forward substitution is re-expressed
-    /// column-oriented — each finalized `x[j]` is eliminated from all
-    /// later rows at once via `ops.axpy` over the **contiguous**
-    /// column-major `L` column, which applies the same updates to each
-    /// `x[i]` in the same ascending-`j` order as the row-oriented loop —
-    /// and the back substitution keeps its order-sensitive sequential
-    /// recurrence ([`LocalOps::msub_seq`]) but reads `U` from the packed
-    /// row-major copy instead of striding across columns.
+    /// The forward sweep does step `k`'s row swap and then one `ops.axpy`
+    /// of its (unpermuted) multipliers: each value receives the dense
+    /// forward substitution's updates in the same ascending-step order,
+    /// `(-x_k)·l ≡ -(l·x_k)` bitwise. Back substitution keeps the
+    /// order-sensitive sequential recurrence ([`LocalOps::msub_seq`]) over
+    /// each trimmed `U` row.
     ///
     /// # Panics
     /// Panics if `b` or `x` is shorter than the factored dimension.
     pub fn solve_with(&self, ops: &dyn LocalOps, b: &[f64], x: &mut [f64]) {
         let n = self.n;
         assert!(b.len() >= n && x.len() >= n, "LU solve: length mismatch");
-        x[..n].copy_from_slice(&b[..n]);
-        for (k, &piv) in self.pivots.iter().enumerate() {
-            if piv != k {
-                x.swap(k, piv);
-            }
-        }
         let xs = &mut x[..n];
-        for j in 0..n {
-            let (head, tail) = xs.split_at_mut(j + 1);
-            // y += (-x_j)·L[j+1.., j]; (-x_j)·l ≡ -(l·x_j) bitwise, so this
-            // is the row loop's `s -= l·x_j` for every remaining row.
-            ops.axpy(-head[j], &self.lu.col(j)[j + 1..n], tail);
+        xs.copy_from_slice(&b[..n]);
+        let mut off = 0;
+        for (k, &piv) in self.pivots.iter().enumerate() {
+            xs.swap(k, piv);
+            let len = self.kl.min(n - 1 - k);
+            let (head, tail) = xs.split_at_mut(k + 1);
+            ops.axpy(-head[k], &self.l[off..off + len], &mut tail[..len]);
+            off += len;
         }
         for i in (0..n).rev() {
-            let row = &self.u_rows[self.u_off[i]..self.u_off[i + 1]];
+            let row = &self.u[self.u_off[i]..self.u_off[i + 1]];
             let (head, tail) = xs.split_at_mut(i + 1);
-            head[i] = ops.msub_seq(head[i], &row[1..], tail) / row[0];
+            head[i] = ops.msub_seq(head[i], &row[1..], &tail[..row.len() - 1]) / row[0];
         }
     }
 }
@@ -463,6 +505,25 @@ mod tests {
         assert_eq!(x, vec![1.0, 2.0]);
     }
 
+    /// CSR copy of the nonzeros of a dense matrix.
+    fn csr(a: &DenseMatrix) -> CsrMatrix {
+        let mut coo = crate::sparse::CooMatrix::new(a.nrows(), a.ncols());
+        for i in 0..a.nrows() {
+            for j in 0..a.ncols() {
+                if a.get(i, j) != 0.0 {
+                    coo.push(i, j, a.get(i, j));
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
+    fn solve(lu: &LuFactors, b: &[f64]) -> Vec<f64> {
+        let mut x = vec![0.0; lu.dim()];
+        lu.solve_with(crate::ops::scalar_ops(), b, &mut x);
+        x
+    }
+
     #[test]
     fn lu_solves_random_systems() {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
@@ -474,10 +535,11 @@ mod tests {
             }
             let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() + 1.0).collect();
             let b = a.gemv(&x_true);
-            let lu = LuFactors::factor(&a);
+            let lu = LuFactors::factor(&csr(&a));
             assert_eq!(lu.dim(), n);
+            // Full width: the dense operation count and storage, no more.
             assert_eq!(lu.flops_per_solve(), 2 * n * n);
-            let x = lu.solve(&b);
+            let x = solve(&lu, &b);
             for (got, want) in x.iter().zip(&x_true) {
                 assert!((got - want).abs() < 1e-10, "n={n}: {got} vs {want}");
             }
@@ -485,13 +547,29 @@ mod tests {
     }
 
     #[test]
+    fn lu_of_a_banded_block_costs_the_band() {
+        // 2-D Poisson, 12x12: bandwidth 12, no pivoting, U filled to ku.
+        let a = crate::generators::poisson2d(12, 12);
+        let n = a.nrows();
+        let lu = LuFactors::factor(&a);
+        let band = n * 12 - 12 * 13 / 2;
+        assert_eq!(lu.flops_per_solve(), 2 * (band + band + n));
+        assert!(lu.factor_flops() < 2 * n * n * n / 3 / 10);
+        let x_true: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
+        let x = solve(&lu, &a.spmv(&x_true));
+        for (got, want) in x.iter().zip(&x_true) {
+            assert!((got - want).abs() < 1e-10, "{got} vs {want}");
+        }
+    }
+
+    #[test]
     fn lu_solve_into_is_allocation_shaped() {
-        // solve_into writes into a caller buffer longer than n and leaves
+        // The solve writes into a caller buffer longer than n and leaves
         // the tail untouched.
         let a = DenseMatrix::from_rows(&[vec![4.0, 1.0], vec![2.0, 3.0]]);
-        let lu = LuFactors::factor(&a);
+        let lu = LuFactors::factor(&csr(&a));
         let mut x = vec![7.0; 4];
-        lu.solve_into(&[6.0, 8.0], &mut x);
+        lu.solve_with(crate::ops::scalar_ops(), &[6.0, 8.0], &mut x);
         assert!(
             (a.gemv(&x[..2]).iter().zip([6.0, 8.0])).all(|(got, want)| (got - want).abs() < 1e-12)
         );
@@ -501,13 +579,12 @@ mod tests {
     #[test]
     fn lu_zero_pivot_column_degrades_to_identity_row() {
         // A zero matrix factors to unit pivots: solve returns b unchanged.
-        let a = DenseMatrix::zeros(3, 3);
-        let lu = LuFactors::factor(&a);
-        assert_eq!(lu.solve(&[1.0, -2.0, 3.0]), vec![1.0, -2.0, 3.0]);
+        let lu = LuFactors::factor(&csr(&DenseMatrix::zeros(3, 3)));
+        assert_eq!(solve(&lu, &[1.0, -2.0, 3.0]), vec![1.0, -2.0, 3.0]);
         // Empty blocks (a rank owning zero rows) are fine too.
-        let empty = LuFactors::factor(&DenseMatrix::zeros(0, 0));
+        let empty = LuFactors::factor(&csr(&DenseMatrix::zeros(0, 0)));
         assert_eq!(empty.dim(), 0);
-        empty.solve_into(&[], &mut []);
+        empty.solve_with(crate::ops::scalar_ops(), &[], &mut []);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! On machines without AVX2 `simd_ops()` falls back to the scalar backend
 //! and the cross-backend assertions hold trivially — the suite still
-//! exercises the SELL and `solve_with` pins.
+//! exercises the SELL and banded-LU pins.
 
 use proptest::prelude::*;
 use resilient_linalg::{
@@ -172,30 +172,121 @@ proptest! {
         }
     }
 
-    /// `LuFactors::solve_with` (op-layer triangular solves, either backend)
-    /// is bit-identical to the legacy `solve_into` reference.
+    /// The banded LU — factored from CSR, solved through either backend —
+    /// is `to_bits`-identical to the dense partial-pivot reference: banded
+    /// nonsymmetric blocks whose shrunken diagonal forces row swaps,
+    /// full-width blocks, a zero column (the unit-pivot convention) and the
+    /// empty block.
     #[test]
-    fn lu_solve_with_matches_solve_into(
-        n in 1usize..12,
-        raw in prop::collection::vec(-5.0f64..5.0, 144),
-        b0 in any_vec(12),
+    fn banded_lu_matches_dense_reference_lu(
+        n_raw in 0usize..44,
+        kl in 0usize..40,
+        ku in 0usize..40,
+        full in any::<bool>(),
+        zero_col in 0usize..80,
+        raw in prop::collection::vec((-1.0f64..1.0, any::<bool>()), 1600),
+        b0 in any_vec(40),
     ) {
+        // About one case in nine is the empty block; half have a zero column.
+        let n = n_raw.saturating_sub(4);
+        let zero_col = (zero_col < 40).then(|| zero_col % n.max(1));
+        let (kl, ku) = if full { (n, n) } else { (kl, ku) };
         let mut m = DenseMatrix::zeros(n, n);
+        let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
-            for j in 0..n {
-                m.set(i, j, raw[i * 12 + j]);
+            for j in i.saturating_sub(kl)..n.min(i + ku + 1) {
+                let (v, keep) = raw[i * 40 + j];
+                if (keep || i == j) && zero_col != Some(j) {
+                    let v = if i == j { 0.1 * v } else { v };
+                    m.set(i, j, v);
+                    coo.push(i, j, v);
+                }
             }
-            // Diagonal dominance keeps the factorisation well-conditioned.
-            m.add_to(i, i, 25.0 * if raw[i * 12 + i] < 0.0 { -1.0 } else { 1.0 });
         }
-        let lu = LuFactors::factor(&m);
+        let reference = DenseLu::factor(&m);
+        let lu = LuFactors::factor(&coo.to_csr());
         let b = &b0[..n];
-        let mut x_ref = vec![0.0; n];
-        lu.solve_into(b, &mut x_ref);
+        let x_ref = reference.solve(b);
         for ops in [scalar_ops(), simd_ops()] {
             let mut x = vec![0.0; n];
             lu.solve_with(ops, b, &mut x);
             prop_assert_eq!(bits(&x), bits(&x_ref));
         }
+    }
+}
+
+/// Dense LU with partial pivoting, `P·A = L·U` packed in one column-major
+/// matrix with the multipliers permuted — the textbook algorithm the
+/// banded [`LuFactors`] must reproduce bit for bit. Test-only: it is the
+/// oracle, not a second solve path.
+struct DenseLu {
+    lu: DenseMatrix,
+    /// Row swapped with row `k` at elimination step `k`.
+    pivots: Vec<usize>,
+}
+
+impl DenseLu {
+    fn factor(a: &DenseMatrix) -> Self {
+        let n = a.nrows();
+        let mut lu = a.clone();
+        let mut pivots = vec![0usize; n];
+        for (k, pivot_slot) in pivots.iter_mut().enumerate() {
+            let mut piv = k;
+            let mut best = lu.get(k, k).abs();
+            for i in k + 1..n {
+                let v = lu.get(i, k).abs();
+                if v > best {
+                    best = v;
+                    piv = i;
+                }
+            }
+            *pivot_slot = piv;
+            if piv != k {
+                for j in 0..n {
+                    let tmp = lu.get(k, j);
+                    lu.set(k, j, lu.get(piv, j));
+                    lu.set(piv, j, tmp);
+                }
+            }
+            let mut pivot = lu.get(k, k);
+            if pivot == 0.0 {
+                pivot = 1.0;
+                lu.set(k, k, pivot);
+            }
+            for i in k + 1..n {
+                let m = lu.get(i, k) / pivot;
+                lu.set(i, k, m);
+                if m != 0.0 {
+                    for j in k + 1..n {
+                        lu.add_to(i, j, -m * lu.get(k, j));
+                    }
+                }
+            }
+        }
+        Self { lu, pivots }
+    }
+
+    /// Permute, then row-oriented forward and back substitution.
+    fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let n = b.len();
+        let mut x = b.to_vec();
+        for (k, &piv) in self.pivots.iter().enumerate() {
+            x.swap(k, piv);
+        }
+        for i in 1..n {
+            let mut s = x[i];
+            for (j, &xj) in x[..i].iter().enumerate() {
+                s -= self.lu.get(i, j) * xj;
+            }
+            x[i] = s;
+        }
+        for i in (0..n).rev() {
+            let mut s = x[i];
+            for (j, &xj) in x[i + 1..n].iter().enumerate() {
+                s -= self.lu.get(i, i + 1 + j) * xj;
+            }
+            x[i] = s / self.lu.get(i, i);
+        }
+        x
     }
 }
